@@ -149,9 +149,9 @@ inline BenchOptions parse_options(int argc, char** argv, const std::string& defa
   opt.measured = static_cast<int>(cli.get_int("steps", 2, "measured time-steps"));
   const std::string backend =
       cli.get_string("backend", to_string(default_sim_backend()),
-                     "scheduler backend: fibers | threads | parallel");
-  if (backend != "fibers" && backend != "threads" && backend != "parallel") {
-    std::fprintf(stderr, "bad --backend: %s (want fibers | threads | parallel)\n",
+                     "scheduler backend: fibers | parallel");
+  if (backend != "fibers" && backend != "parallel") {
+    std::fprintf(stderr, "bad --backend: %s (want fibers | parallel)\n",
                  backend.c_str());
     std::exit(2);
   }

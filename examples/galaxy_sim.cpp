@@ -12,22 +12,17 @@
 #include "rt/native_rt.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
-#include "treebuild/local.hpp"
-#include "treebuild/orig.hpp"
-#include "treebuild/partree.hpp"
-#include "treebuild/radix.hpp"
-#include "treebuild/space.hpp"
-#include "treebuild/update.hpp"
+#include "treebuild/dispatch.hpp"
 
 namespace {
 
-template <class Builder>
-void run(ptb::AppState& st, int threads, int steps) {
+void run(ptb::Algorithm alg, ptb::AppState& st, int threads, int steps) {
   using namespace ptb;
   NativeContext ctx(threads);
-  Builder builder(st);
-  ctx.run([&](NativeProc& rt) {
-    for (int s = 0; s < steps; ++s) timestep(rt, st, builder, true);
+  with_builder(alg, st, [&](auto& builder) {
+    ctx.run([&](NativeProc& rt) {
+      for (int s = 0; s < steps; ++s) timestep(rt, st, builder, true);
+    });
   });
 
   Table t("per-phase wall time (max over threads)");
@@ -80,26 +75,7 @@ int main(int argc, char** argv) {
   std::printf("initial energy: T=%.4f U=%.4f E=%.4f (virial ratio %.2f)\n\n", e0.kinetic,
               e0.potential, e0.total(), e0.virial_ratio());
 
-  switch (algorithm_from_name(alg)) {
-    case Algorithm::kOrig:
-      run<OrigBuilder>(st, threads, steps);
-      break;
-    case Algorithm::kLocal:
-      run<LocalBuilder>(st, threads, steps);
-      break;
-    case Algorithm::kUpdate:
-      run<UpdateBuilder>(st, threads, steps);
-      break;
-    case Algorithm::kPartree:
-      run<PartreeBuilder>(st, threads, steps);
-      break;
-    case Algorithm::kSpace:
-      run<SpaceBuilder>(st, threads, steps);
-      break;
-    case Algorithm::kRadix:
-      run<RadixBuilder>(st, threads, steps);
-      break;
-  }
+  run(algorithm_from_name(alg), st, threads, steps);
 
   // Physics sanity: energy drift over the run.
   const EnergyReport e1 = total_energy(st.bodies, st.cfg.eps);

@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
                             : Partitioner::kCostzones;
   const std::string backend =
       cli.get_string("backend", to_string(default_sim_backend()),
-                     "scheduler backend: fibers|threads|parallel (or PTB_SIM_BACKEND)");
-  if (backend != "fibers" && backend != "threads" && backend != "parallel") {
-    std::fprintf(stderr, "ptbsim: bad --backend '%s' (want fibers|threads|parallel)\n",
+                     "scheduler backend: fibers|parallel (or PTB_SIM_BACKEND)");
+  if (backend != "fibers" && backend != "parallel") {
+    std::fprintf(stderr, "ptbsim: bad --backend '%s' (want fibers|parallel)\n",
                  backend.c_str());
     return 2;
   }
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       "  PTB_SIGHT_WINDOW_NS=<n> (no flag)        false-sharing invalidation window override\n"
       "  PTB_MEM_SLOWPATH=1      (no flag)        force the memory model's virtual-dispatch path\n"
       "  PTB_FORCE_SLOWPATH=1    (no flag)        force the scalar force-interaction path\n"
-      "  PTB_SIM_BACKEND=<name>  --backend        scheduler backend (fibers|threads|parallel)\n"
+      "  PTB_SIM_BACKEND=<name>  --backend        scheduler backend (fibers|parallel)\n"
       "  PTB_SIM_WORKERS=<n>     --workers        host worker threads for --backend=parallel\n"
       "\n"
       "Exit codes: 0 = run completed (observers may have written reports);\n"

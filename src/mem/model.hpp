@@ -179,8 +179,8 @@ class MemModel {
   /// Execution-serialization promise from the simulator: under the fiber
   /// backend an unordered stretch is host-atomic, which licenses the
   /// eager-invalidation cache mode (see CacheModel::touch_nv). Default off:
-  /// the threads backend overlaps unordered stretches, where sweeping other
-  /// processors' cache entries would race with their probes.
+  /// the parallel backend overlaps unordered sections on host workers, where
+  /// sweeping other processors' cache entries would race with their probes.
   virtual void set_serialized(bool) {}
 
   virtual MemModelKind kind() const { return MemModelKind::kOther; }

@@ -16,7 +16,7 @@
 //
 // Uncontended acquires and fetch&adds never set a clock from another
 // processor's, so they add no cross-processor edges (their charges are
-// inside segments); fiber/token scheduling is host-level and invisible in
+// inside segments); fiber scheduling is host-level and invisible in
 // virtual time. Segment durations tile [0, elapsed] exactly — the sum of
 // segments equals the run's elapsed virtual time, a checked invariant.
 #pragma once

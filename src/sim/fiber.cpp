@@ -119,7 +119,11 @@ ptb_fiber_boot:
 extern "C" {
 void ptb_fiber_swap(void** from_sp, void** to_sp);
 void ptb_fiber_boot();
-void ptb_fiber_boot_c(void* f) { fiber_entry_shim(static_cast<Fiber*>(f)); }
+// Called only from the asm above, which LTO cannot see: `used` keeps it
+// from being discarded (-DPTB_NATIVE_OPT=ON links with -flto).
+__attribute__((used)) void ptb_fiber_boot_c(void* f) {
+  fiber_entry_shim(static_cast<Fiber*>(f));
+}
 }
 
 #endif  // PTB_FIBER_ASM_X86_64

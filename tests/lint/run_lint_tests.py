@@ -12,10 +12,6 @@ check (checks not named in any ptblint-expect line of a fixture are expected
 to report nothing for it — a planted violation must never leak findings of
 the wrong class).
 
-Engine selection: PTBLINT env var can point at an alternative engine command
-(e.g. the Clang LibTooling binary built with -DPTB_BUILD_LINT=ON); default is
-the portable python engine. Both must satisfy the same oracle.
-
 Exit 0 on success, 1 with a diff on any mismatch.
 """
 
@@ -23,7 +19,6 @@ import argparse
 import json
 import os
 import re
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -45,15 +40,8 @@ def read_expectations(path):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--engine", default=os.environ.get("PTBLINT"),
-                    help="engine command (default: the python reference engine; "
-                         "also honours the PTBLINT env var)")
-    args = ap.parse_args()
-    if args.engine:
-        cmd = shlex.split(args.engine)
-    else:
-        cmd = [sys.executable, os.path.join(ROOT, "tools", "ptblint", "ptblint.py")]
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    cmd = [sys.executable, os.path.join(ROOT, "tools", "ptblint", "ptblint.py")]
 
     fixtures = sorted(
         os.path.join(FIXTURES, f) for f in os.listdir(FIXTURES) if f.endswith(".cpp"))

@@ -21,12 +21,7 @@
 #include "mem/model.hpp"
 #include "prof/profile.hpp"
 #include "sim/sim_rt.hpp"
-#include "treebuild/local.hpp"
-#include "treebuild/orig.hpp"
-#include "treebuild/partree.hpp"
-#include "treebuild/radix.hpp"
-#include "treebuild/space.hpp"
-#include "treebuild/update.hpp"
+#include "treebuild/dispatch.hpp"
 
 namespace ptb {
 namespace {
@@ -81,52 +76,33 @@ struct RunOpts {
   bool prof = false;
 };
 
-template <class Builder>
-std::vector<PathRun> run_paths(const std::string& platform, int n, int nprocs,
-                               const RunOpts& opts) {
+std::vector<PathRun> run_algorithm(Algorithm alg, const std::string& platform, int n,
+                                   int nprocs, const RunOpts& opts = {}) {
   BHConfig bh;
   bh.n = n;
   AppState st = make_app_state(bh, nprocs);
   const StateSnapshot snap = take_snapshot(st);
-  Builder builder(st);
   const RunConfig rc{/*warmup_steps=*/0, /*measured_steps=*/1};
   std::vector<PathRun> out;
-  for (bool slow : {false, true}) {
-    ScopedSlowpath env(slow);
-    restore_snapshot(st, snap);
-    SimContext ctx(PlatformSpec::by_name(platform), nprocs, default_sim_backend(),
-                   /*race_detect=*/opts.race);
-    prof::Recorder rec;
-    if (opts.prof) ctx.set_profiler(&rec);
-    PathRun r;
-    r.run = run_simulation(ctx, st, builder, rc);
-    for (int p = 0; p < nprocs; ++p) {
-      r.clocks.push_back(ctx.clock_ns(p));
-      r.mem.push_back(ctx.mem().proc_stats(p));
+  // One builder instance serves both paths, so its storage addresses match.
+  with_builder(alg, st, [&](auto& builder) {
+    for (bool slow : {false, true}) {
+      ScopedSlowpath env(slow);
+      restore_snapshot(st, snap);
+      SimContext ctx(PlatformSpec::by_name(platform), nprocs, default_sim_backend(),
+                     /*race_detect=*/opts.race);
+      prof::Recorder rec;
+      if (opts.prof) ctx.set_profiler(&rec);
+      PathRun r;
+      r.run = run_simulation(ctx, st, builder, rc);
+      for (int p = 0; p < nprocs; ++p) {
+        r.clocks.push_back(ctx.clock_ns(p));
+        r.mem.push_back(ctx.mem().proc_stats(p));
+      }
+      out.push_back(std::move(r));
     }
-    out.push_back(std::move(r));
-  }
+  });
   return out;
-}
-
-std::vector<PathRun> run_algorithm(Algorithm alg, const std::string& platform, int n,
-                                   int nprocs, const RunOpts& opts = {}) {
-  switch (alg) {
-    case Algorithm::kOrig:
-      return run_paths<OrigBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kLocal:
-      return run_paths<LocalBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kUpdate:
-      return run_paths<UpdateBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kPartree:
-      return run_paths<PartreeBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kSpace:
-      return run_paths<SpaceBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kRadix:
-      return run_paths<RadixBuilder>(platform, n, nprocs, opts);
-  }
-  PTB_CHECK_MSG(false, "unhandled algorithm");
-  return {};
 }
 
 void expect_identical(const PathRun& fast, const PathRun& slow) {

@@ -1,11 +1,12 @@
-// The fiber, thread and parallel scheduler backends implement the same
-// virtual-time state machine and must be indistinguishable in every reported
-// number: bit-identical virtual clocks, per-phase times, lock-acquire counts
-// and wait-time statistics for every algorithm on every platform. This is
-// the contract that lets the fast fiber backend replace the thread backend
-// everywhere (and the parallel backend overlap unordered sections on real
-// host threads, docs/MODEL.md "The lookahead window") while the thread
-// backend stays on as a cross-check.
+// The fiber and parallel scheduler backends implement the same virtual-time
+// state machine and must be indistinguishable in every reported number:
+// bit-identical virtual clocks, per-phase times, lock-acquire counts and
+// wait-time statistics for every algorithm on every platform. This is the
+// contract that lets the parallel backend overlap unordered sections on real
+// host threads (docs/MODEL.md "The lookahead window"). The fiber backend
+// also runs the cache model's eager-invalidation mode while the parallel
+// backend runs the lazy-epoch mode, so the matrix doubles as the end-to-end
+// eager-vs-lazy check.
 //
 // The simulator's virtual times are a function of the actual addresses of
 // the registered regions (block-grid alignment, lock hashing — see
@@ -25,12 +26,7 @@
 #include "prof/profile.hpp"
 #include "race/race.hpp"
 #include "sim/sim_rt.hpp"
-#include "treebuild/local.hpp"
-#include "treebuild/orig.hpp"
-#include "treebuild/partree.hpp"
-#include "treebuild/radix.hpp"
-#include "treebuild/space.hpp"
-#include "treebuild/update.hpp"
+#include "treebuild/dispatch.hpp"
 
 namespace ptb {
 namespace {
@@ -79,52 +75,32 @@ struct RunOpts {
   int workers = 4;
 };
 
-template <class Builder>
-std::vector<BackendRun> run_backends(const std::string& platform, int n, int nprocs,
-                                     const std::vector<SimBackend>& backends,
-                                     const RunOpts& opts = {}) {
+std::vector<BackendRun> run_algorithm(Algorithm alg, const std::string& platform, int n,
+                                      int nprocs, const std::vector<SimBackend>& backends,
+                                      const RunOpts& opts = {}) {
   BHConfig bh;
   bh.n = n;
   AppState st = make_app_state(bh, nprocs);
   const StateSnapshot snap = take_snapshot(st);
-  Builder builder(st);
   const RunConfig rc{/*warmup_steps=*/0, /*measured_steps=*/1};
   std::vector<BackendRun> out;
-  for (SimBackend backend : backends) {
-    restore_snapshot(st, snap);
-    SimContext ctx(PlatformSpec::by_name(platform), nprocs, backend,
-                   /*race_detect=*/opts.race);
-    if (opts.workers > 0) ctx.set_workers(opts.workers);
-    prof::Recorder rec;
-    if (opts.prof) ctx.set_profiler(&rec);
-    BackendRun r;
-    r.run = run_simulation(ctx, st, builder, rc);
-    for (int p = 0; p < nprocs; ++p) r.clocks.push_back(ctx.clock_ns(p));
-    if (const race::RaceReport* rr = ctx.race_report()) r.races = rr->races;
-    out.push_back(std::move(r));
-  }
+  // One builder instance serves every backend, so its storage addresses match.
+  with_builder(alg, st, [&](auto& builder) {
+    for (SimBackend backend : backends) {
+      restore_snapshot(st, snap);
+      SimContext ctx(PlatformSpec::by_name(platform), nprocs, backend,
+                     /*race_detect=*/opts.race);
+      if (opts.workers > 0) ctx.set_workers(opts.workers);
+      prof::Recorder rec;
+      if (opts.prof) ctx.set_profiler(&rec);
+      BackendRun r;
+      r.run = run_simulation(ctx, st, builder, rc);
+      for (int p = 0; p < nprocs; ++p) r.clocks.push_back(ctx.clock_ns(p));
+      if (const race::RaceReport* rr = ctx.race_report()) r.races = rr->races;
+      out.push_back(std::move(r));
+    }
+  });
   return out;
-}
-
-std::vector<BackendRun> run_algorithm(Algorithm alg, const std::string& platform, int n,
-                                      int nprocs, const std::vector<SimBackend>& backends,
-                                      const RunOpts& opts = {}) {
-  switch (alg) {
-    case Algorithm::kOrig:
-      return run_backends<OrigBuilder>(platform, n, nprocs, backends, opts);
-    case Algorithm::kLocal:
-      return run_backends<LocalBuilder>(platform, n, nprocs, backends, opts);
-    case Algorithm::kUpdate:
-      return run_backends<UpdateBuilder>(platform, n, nprocs, backends, opts);
-    case Algorithm::kPartree:
-      return run_backends<PartreeBuilder>(platform, n, nprocs, backends, opts);
-    case Algorithm::kSpace:
-      return run_backends<SpaceBuilder>(platform, n, nprocs, backends, opts);
-    case Algorithm::kRadix:
-      return run_backends<RadixBuilder>(platform, n, nprocs, backends, opts);
-  }
-  PTB_CHECK_MSG(false, "unhandled algorithm");
-  return {};
 }
 
 void expect_identical(const BackendRun& a, const BackendRun& b) {
@@ -155,12 +131,6 @@ constexpr int kProcs = 8;
 TEST(BackendEquiv, SnapshotRestoreReproducesARun) {
   const auto runs = run_algorithm(Algorithm::kOrig, "paragon", kBodies, kProcs,
                                   {SimBackend::kFibers, SimBackend::kFibers});
-  expect_identical(runs[0], runs[1]);
-}
-
-TEST(BackendEquiv, ThreadBackendReproducesItself) {
-  const auto runs = run_algorithm(Algorithm::kPartree, "challenge", kBodies, kProcs,
-                                  {SimBackend::kThreads, SimBackend::kThreads});
   expect_identical(runs[0], runs[1]);
 }
 
@@ -213,13 +183,13 @@ struct EquivCase {
 
 class BackendEquivP : public ::testing::TestWithParam<EquivCase> {};
 
+// The test name predates the removal of a third (thread) backend; it is kept
+// so the matrix's test ids stay stable across history.
 TEST_P(BackendEquivP, FiberThreadAndParallelBackendsBitIdentical) {
   const EquivCase c = GetParam();
-  const auto runs =
-      run_algorithm(c.alg, c.platform, kBodies, kProcs,
-                    {SimBackend::kFibers, SimBackend::kThreads, SimBackend::kParallel});
+  const auto runs = run_algorithm(c.alg, c.platform, kBodies, kProcs,
+                                  {SimBackend::kFibers, SimBackend::kParallel});
   expect_identical(runs[0], runs[1]);
-  expect_identical(runs[0], runs[2]);
 }
 
 std::vector<EquivCase> all_cases() {

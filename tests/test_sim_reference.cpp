@@ -1,7 +1,10 @@
 // Differential property test for the DES scheduler: random synchronization
-// programs (compute / lock / unlock / barrier) are executed both by the
-// threaded SimContext and by a simple sequential reference implementation of
-// the same virtual-time semantics; final clocks must agree exactly.
+// programs (compute / lock / unlock / barrier) are executed both by
+// SimContext (under whichever backend PTB_SIM_BACKEND selects — fibers by
+// default) and by a simple sequential reference implementation of the same
+// virtual-time semantics; final clocks must agree exactly. The test name
+// "ThreadedMatches..." predates the fiber scheduler and is kept for stable
+// test ids.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -133,7 +136,7 @@ std::vector<std::uint64_t> reference_run(const std::vector<Script>& scripts) {
   return clock;
 }
 
-std::vector<std::uint64_t> threaded_run(const std::vector<Script>& scripts) {
+std::vector<std::uint64_t> simulated_run(const std::vector<Script>& scripts) {
   const int np = static_cast<int>(scripts.size());
   SimContext ctx(PlatformSpec::ideal(), np);
   static int lock_objs[64];
@@ -169,7 +172,7 @@ TEST_P(SimReferenceP, ThreadedMatchesSequentialReference) {
   const int nlocks = 1 + static_cast<int>(rng.next_below(5));
   const auto scripts = random_programs(rng, np, rounds, nlocks);
   const auto expect = reference_run(scripts);
-  const auto got = threaded_run(scripts);
+  const auto got = simulated_run(scripts);
   ASSERT_EQ(expect, got) << "np=" << np << " rounds=" << rounds
                          << " nlocks=" << nlocks;
 }

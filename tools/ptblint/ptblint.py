@@ -31,12 +31,9 @@ Suppression syntax (same line, or a comment line directly above):
 A reasonless allow() does NOT suppress — it is reported, and so is the
 finding it failed to suppress.
 
-This is the portable engine (stdlib Python, lexical but comment/string-aware
-with real scope tracking). `tools/ptblint/PtbLint.cpp` is the Clang
-AST-matcher implementation of the same catalogue, built with
--DPTB_BUILD_LINT=ON where Clang dev packages exist; both emit the same JSON
-schema and honour the same suppressions, so CI and the fixture tests can use
-whichever is available (see docs/LINT.md).
+This is the one lint engine: stdlib Python, lexical but comment/string-aware
+with real scope tracking, so it runs anywhere the tests run. Its behaviour
+on tests/lint/fixtures/ is the contract (see docs/LINT.md).
 
 Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/internal error.
 """
