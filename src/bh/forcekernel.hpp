@@ -37,7 +37,8 @@ bool force_slowpath_enabled();
 /// direct bodies share the list (a partner is just a point mass once the
 /// opening criterion has spoken); the kind split is kept only for the
 /// `forces.interactions{kind=...}` metrics. Capacity is retained across
-/// clear(), so steady-state gathering never allocates.
+/// clear(), i.e. across the bodies of one phase call. Hold the list as a local
+/// of that call: side-by-side per-processor lists false-share (docs/PERF.md §9).
 class InteractionList {
  public:
   void clear() {

@@ -49,5 +49,8 @@ constexpr double dot(const Vec3& a, const Vec3& b) {
 }
 inline double norm(const Vec3& a) { return std::sqrt(dot(a, a)); }
 constexpr double norm2(const Vec3& a) { return dot(a, a); }
+inline bool all_finite(const Vec3& a) {
+  return std::isfinite(a.x) && std::isfinite(a.y) && std::isfinite(a.z);
+}
 
 }  // namespace ptb

@@ -259,7 +259,7 @@ void forces_phase(RT& rt, AppState& st) {
   std::uint64_t bodies = 0;
   Node* root = st.tree.root;
   const bool slow = bh::force_slowpath_enabled();
-  bh::InteractionList& il = st.force_ilist[pi];
+  bh::InteractionList il;  // this call's own scratch: see docs/PERF.md §9
   trace::Tracer* const tr = rt.tracer();
   rt.unordered([&] {
     for (std::int32_t bi : st.partition[pi]) {
@@ -270,30 +270,24 @@ void forces_phase(RT& rt, AppState& st) {
       std::uint64_t nb = 0;
       if (slow) {
         detail::force_walk(rt, st, root, b.pos, bi, theta2, eps2, acc, nc, nb);
-      } else if (tr == nullptr) {
-        il.clear();
-        detail::gather_walk(rt, st, root, b.pos, bi, theta2, il);
-        nc = il.cells();
-        nb = il.bodies();
-        rt.compute_n(work::kBodyCellInteraction, nc);
-        rt.compute_n(work::kBodyBodyInteraction, nb);
-        acc = bh::evaluate(il, b.pos, eps2);
       } else {
-        // Traced: same work, bracketed into per-body gather/evaluate
+        // Traced runs bracket the same work into per-body gather/evaluate
         // sub-spans. The interaction compute is charged after the gather
         // timestamp so its cost lands in the evaluate span.
         il.clear();
-        const std::uint64_t t0 = rt.trace_now();
+        const std::uint64_t t0 = tr != nullptr ? rt.trace_now() : 0;
         detail::gather_walk(rt, st, root, b.pos, bi, theta2, il);
-        const std::uint64_t t1 = rt.trace_now();
+        const std::uint64_t t1 = tr != nullptr ? rt.trace_now() : 0;
         nc = il.cells();
         nb = il.bodies();
         rt.compute_n(work::kBodyCellInteraction, nc);
         rt.compute_n(work::kBodyBodyInteraction, nb);
         acc = bh::evaluate(il, b.pos, eps2);
-        const std::uint64_t t2 = rt.trace_now();
-        tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
-        tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, t2);
+        if (tr != nullptr) {
+          const std::uint64_t t2 = rt.trace_now();
+          tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
+          tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, t2);
+        }
       }
       b.acc = acc;
       b.cost = static_cast<double>(nc + nb);

@@ -7,16 +7,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "bh/body.hpp"
 #include "bh/config.hpp"
-#include "bh/forcekernel.hpp"
 #include "bh/node.hpp"
 #include "bh/pool.hpp"
 #include "support/aligned.hpp"
+#include "support/check.hpp"
 
 namespace ptb {
 
@@ -113,12 +115,6 @@ struct AppState {
   std::vector<std::uint64_t> interactions_cell;
   std::vector<std::uint64_t> interactions_body;
 
-  /// Per-processor gather scratch for the batched force kernel. Host-side
-  /// working memory, NOT a registered shared region: the simulated cost of
-  /// an interaction is charged where its source operand lives (the tree
-  /// node / the other body), exactly as in the scalar walk.
-  std::vector<bh::InteractionList> force_ilist;
-
   /// Shadow-arena slots per processor (chunk size).
   std::int32_t arena_chunk() const {
     return static_cast<std::int32_t>((cfg.n + nprocs - 1) / nprocs);
@@ -137,9 +133,14 @@ struct AppState {
     body_slot.assign(bodies.size(), 0);
     const std::int32_t chunk = arena_chunk();
     std::vector<std::int32_t> rank(static_cast<std::size_t>(np), 0);
+    char msg[64] = "";  // names the body that fails the finiteness check
     // Initial even assignment (paper §2.1: "for the first time step, the
     // particles are evenly assigned to processors").
     for (std::size_t i = 0; i < bodies.size(); ++i) {
+      const Body& bd = bodies[i];
+      const bool finite = all_finite(bd.pos) && all_finite(bd.vel) && std::isfinite(bd.mass);
+      if (!finite) std::snprintf(msg, sizeof msg, "body %zu: non-finite pos, vel or mass", i);
+      PTB_CHECK_MSG(finite, msg);
       const int p = static_cast<int>(i % static_cast<std::size_t>(np));
       bodies[i].proc = p;
       partition[static_cast<std::size_t>(p)].push_back(static_cast<std::int32_t>(i));
@@ -151,7 +152,6 @@ struct AppState {
     interactions.assign(static_cast<std::size_t>(np), 0);
     interactions_cell.assign(static_cast<std::size_t>(np), 0);
     interactions_body.assign(static_cast<std::size_t>(np), 0);
-    force_ilist.assign(static_cast<std::size_t>(np), {});
     if (cfg.lock_buckets > 0)
       lock_table.assign(static_cast<std::size_t>(cfg.lock_buckets), 0);
   }

@@ -5,6 +5,7 @@
 
 #include "bh/seqtree.hpp"
 #include "bh/verify.hpp"
+#include "forces_across_threads.hpp"
 #include "harness/app.hpp"
 #include "rt/native_rt.hpp"
 #include "treebuild/local.hpp"
@@ -108,6 +109,10 @@ TEST(NativeRt, ForcesMatchSimulatorRun) {
     // (and the last ulp) may differ; positions agree to reassociation noise.
     ASSERT_LT(norm(native_st.bodies[i].pos - seq_st.bodies[i].pos), 1e-12);
   }
+}
+
+TEST(NativeRt, ForcesBitIdenticalAcrossThreadCounts) {
+  test::expect_forces_bit_identical_across_thread_counts<NativeContext>();
 }
 
 TEST(NativeRt, StatsTrackLocksAndBarriers) {

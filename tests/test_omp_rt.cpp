@@ -6,6 +6,7 @@
 
 #include "bh/seqtree.hpp"
 #include "bh/verify.hpp"
+#include "forces_across_threads.hpp"
 #include "harness/app.hpp"
 #include "rt/omp_rt.hpp"
 #include "treebuild/local.hpp"
@@ -57,6 +58,10 @@ TEST(OmpRt, FullTimestepPipeline) {
   const TreeCheckResult check = check_tree(st.tree.root, st.bodies, st.cfg);
   ASSERT_TRUE(check.ok) << check.error;
   EXPECT_EQ(check.body_count, cfg.n);
+}
+
+TEST(OmpRt, ForcesBitIdenticalAcrossThreadCounts) {
+  test::expect_forces_bit_identical_across_thread_counts<OmpContext>();
 }
 
 TEST(OmpRt, StatsAreTracked) {

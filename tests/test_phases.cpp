@@ -1,8 +1,10 @@
 // The shared phases: force accuracy against direct summation, costzones
-// completeness/balance/determinism, parallel moments correctness, leapfrog.
+// completeness/balance/determinism, parallel moments correctness, leapfrog;
+// and AppState::init's rejection of non-finite bodies.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "bh/seqtree.hpp"
 #include "harness/app.hpp"
@@ -249,6 +251,20 @@ TEST(Integrate, EnergyDriftBounded) {
   });
   const double e1 = energy(st.bodies);
   EXPECT_LT(std::abs(e1 - e0) / std::abs(e0), 0.05);
+}
+
+TEST(AppStateDeathTest, RejectsNonFiniteBodyNamingItsIndex) {
+  const auto init_with = [](auto&& spoil) {
+    Bodies bodies = make_plummer(64, 1);
+    spoil(bodies);
+    AppState st;
+    st.init(std::move(bodies), 2);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(init_with([&](Bodies& b) { b[37].pos.y = nan; }), "body 37: non-finite");
+  EXPECT_DEATH(init_with([&](Bodies& b) { b[0].vel.z = -inf; }), "body 0: non-finite");
+  EXPECT_DEATH(init_with([&](Bodies& b) { b[63].mass = inf; }), "body 63: non-finite");
 }
 
 }  // namespace
