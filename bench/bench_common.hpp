@@ -120,12 +120,6 @@ struct BenchOptions {
   int warmup = 1;
   int measured = 2;
   bool full = false;
-  /// Run every cell under the data-race detector (--race / PTB_RACE). Virtual
-  /// times are unchanged; race counts land in each ExperimentResult.
-  bool race = false;
-  /// Run every cell under the sharing observer (--sight / PTB_SIGHT). Virtual
-  /// times are unchanged; the report lands in each ExperimentResult.
-  bool sight = false;
   SimBackend backend = default_sim_backend();
   /// Host worker threads for the parallel backend (0 = default).
   int workers = 0;
@@ -140,11 +134,9 @@ inline BenchOptions parse_options(int argc, char** argv, const std::string& defa
   Cli cli(argc, argv);
   BenchOptions opt;
   opt.full = cli.get_bool("full", false, "run the paper-scale problem sizes (slow)");
-  const std::string sizes =
-      cli.get_string("sizes", opt.full ? full_sizes : default_sizes,
-                     "comma-separated body counts");
-  const std::string procs = cli.get_string("procs", default_procs,
-                                           "comma-separated processor counts");
+  opt.sizes = cli.get_int_list("sizes", opt.full ? full_sizes : default_sizes,
+                               "comma-separated body counts");
+  opt.procs = cli.get_int_list("procs", default_procs, "comma-separated processor counts");
   opt.warmup = static_cast<int>(cli.get_int("warmup", 1, "warm-up steps (untimed)"));
   opt.measured = static_cast<int>(cli.get_int("steps", 2, "measured time-steps"));
   const std::string backend =
@@ -158,33 +150,23 @@ inline BenchOptions parse_options(int argc, char** argv, const std::string& defa
   opt.backend = sim_backend_from_string(backend);
   opt.workers = static_cast<int>(
       cli.get_int("workers", 0, "host workers for --backend=parallel (0 = auto)"));
-  opt.race = cli.get_bool("race", false,
-                          "run under the data-race detector (or set PTB_RACE)");
-  opt.sight = cli.get_bool("sight", false,
-                           "run under the sharing observer (or set PTB_SIGHT)");
   const std::string json_path =
       cli.get_string("json", "", "also write results to this JSON file");
   opt.json.set_path(json_path);
   cli.finish();
+  const auto joined = [](const std::vector<std::int64_t>& v) {
+    std::string s;
+    for (const std::int64_t x : v) {
+      if (!s.empty()) s += ',';
+      s += std::to_string(x);
+    }
+    return s;
+  };
   opt.json.context("git_sha", support::git_sha())
       .context("build_type", support::build_type())
       .context("backend", to_string(opt.backend))
-      .context("sizes", sizes)
-      .context("procs", procs);
-  // Parse the comma-separated lists.
-  auto parse_list = [](const std::string& v) {
-    std::vector<std::int64_t> out;
-    std::size_t pos = 0;
-    while (pos < v.size()) {
-      std::size_t next = v.find(',', pos);
-      if (next == std::string::npos) next = v.size();
-      out.push_back(std::strtoll(v.substr(pos, next - pos).c_str(), nullptr, 10));
-      pos = next + 1;
-    }
-    return out;
-  };
-  opt.sizes = parse_list(sizes);
-  opt.procs = parse_list(procs);
+      .context("sizes", joined(opt.sizes))
+      .context("procs", joined(opt.procs));
   return opt;
 }
 
@@ -199,8 +181,6 @@ inline ExperimentSpec make_spec(const std::string& platform, Algorithm alg, int 
   s.measured_steps = opt.measured;
   s.backend = opt.backend;
   s.sim_workers = opt.workers;
-  s.race = opt.race;
-  s.sight = opt.sight;
   return s;
 }
 

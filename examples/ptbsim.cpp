@@ -44,9 +44,13 @@ int main(int argc, char** argv) {
   spec.bh.lock_buckets = static_cast<int>(
       cli.get_int("lock-buckets", 0, "ALOCK pool size (0 = per-cell locks)"));
   spec.bh.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345, "RNG seed"));
-  spec.bh.partitioner = cli.get_string("partitioner", "costzones", "costzones|orb") == "orb"
-                            ? Partitioner::kOrb
-                            : Partitioner::kCostzones;
+  const std::string partitioner = cli.get_string("partitioner", "costzones", "costzones|orb");
+  if (partitioner != "costzones" && partitioner != "orb") {
+    std::fprintf(stderr, "ptbsim: bad --partitioner '%s' (want costzones|orb)\n",
+                 partitioner.c_str());
+    return 2;
+  }
+  spec.bh.partitioner = partitioner == "orb" ? Partitioner::kOrb : Partitioner::kCostzones;
   const std::string backend =
       cli.get_string("backend", to_string(default_sim_backend()),
                      "scheduler backend: fibers|parallel (or PTB_SIM_BACKEND)");
@@ -59,40 +63,33 @@ int main(int argc, char** argv) {
   spec.sim_workers = static_cast<int>(cli.get_int(
       "workers", 0, "host workers for --backend=parallel (0 = auto / PTB_SIM_WORKERS)"));
   spec.race = cli.get_bool("race", false,
-                           "run under the data-race detector (or set PTB_RACE); "
-                           "exits 2 if any race is found");
+                           "run under the data-race detector; exits 2 if any race is found");
   spec.bh.elide_locks = cli.get_bool(
       "elide-locks", false, "skip tree-build lock acquisitions (race-detector demo)");
   const bool csv = cli.get_bool("csv", false, "emit one CSV line instead of tables");
   const bool csv_header = cli.get_bool("csv-header", false, "print the CSV header line");
-  const std::string trace_path = trace::trace_path_from(cli.get_string(
-      "trace", "", "write a Chrome trace-event JSON here (or set PTB_TRACE)"));
-  const std::string prof_path = prof::prof_path_from(cli.get_string(
-      "prof", "", "profile the run and write prof JSON here (or set PTB_PROF)"));
-  const std::string sight_path = sight::sight_path_from(cli.get_string(
+  const std::string trace_path =
+      cli.get_string("trace", "", "write a Chrome trace-event JSON here");
+  const std::string prof_path =
+      cli.get_string("prof", "", "profile the run and write prof JSON here");
+  const std::string sight_path = cli.get_string(
       "sight", "",
       "observe sharing patterns / false sharing / working sets and write the "
-      "sight JSON here (or set PTB_SIGHT)"));
-  const std::string anatomy_path = anatomy::anatomy_path_from(cli.get_string(
+      "sight JSON here");
+  const std::string anatomy_path = cli.get_string(
       "anatomy", "",
       "ledger every virtual cycle into the speedup-loss categories and write "
-      "the anatomy JSON (with a p=1 reference run and waterfall) here (or set "
-      "PTB_ANATOMY)"));
+      "the anatomy JSON (with a p=1 reference run and waterfall) here");
   cli.epilogue(
-      "Environment variables (each pairs with a flag; the flag wins):\n"
-      "  PTB_TRACE=<path>        --trace          Chrome trace-event JSON output\n"
-      "  PTB_RACE=1              --race           data-race detector\n"
-      "  PTB_PROF=<path>         --prof           critical-path / what-if profile JSON\n"
-      "  PTB_SIGHT=<path>        --sight          sharing / false-sharing / working-set JSON\n"
-      "  PTB_ANATOMY=<path>      --anatomy        speedup-loss ledger / waterfall JSON\n"
-      "  PTB_SIGHT_WINDOW_NS=<n> (no flag)        false-sharing invalidation window override\n"
-      "  PTB_MEM_SLOWPATH=1      (no flag)        force the memory model's virtual-dispatch path\n"
-      "  PTB_FORCE_SLOWPATH=1    (no flag)        force the scalar force-interaction path\n"
+      "Observers switch on only through their flags (--trace/--race/--prof/\n"
+      "--sight/--anatomy). Environment variables (a flag wins over its variable):\n"
       "  PTB_SIM_BACKEND=<name>  --backend        scheduler backend (fibers|parallel)\n"
       "  PTB_SIM_WORKERS=<n>     --workers        host worker threads for --backend=parallel\n"
+      "  PTB_MEM_SLOWPATH=1      (no flag)        force the memory model's virtual-dispatch path\n"
+      "  PTB_FORCE_SLOWPATH=1    (no flag)        force the scalar force-interaction path\n"
       "\n"
       "Exit codes: 0 = run completed (observers may have written reports);\n"
-      "            2 = data races found under --race/PTB_RACE, or bad flags.");
+      "            2 = data races found under --race, or bad flags.");
   cli.finish();
 
   // Open output files up front so a bad path fails before the simulation

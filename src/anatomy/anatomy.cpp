@@ -1,7 +1,6 @@
 #include "anatomy/anatomy.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "support/check.hpp"
 
@@ -159,17 +158,6 @@ void ingest_anatomy_metrics(trace::MetricsRegistry& m, const Ledger& led) {
             led.phase_category_ns(phase, cat));
     }
   }
-}
-
-bool default_anatomy_enabled() {
-  const char* env = std::getenv("PTB_ANATOMY");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-}
-
-std::string anatomy_path_from(const std::string& flag_value) {
-  if (!flag_value.empty()) return flag_value;
-  const char* env = std::getenv("PTB_ANATOMY");
-  return env != nullptr ? std::string(env) : std::string();
 }
 
 }  // namespace ptb::anatomy

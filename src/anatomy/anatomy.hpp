@@ -26,17 +26,16 @@
 // reference ledger: the per-category deltas attribute the whole speedup
 // loss p·T_p − T_1, with the busy delta being the extra parallel work.
 //
-// Like trace/race/prof/sight this is a pure observer: the Collector only
-// snapshots counters the simulator already keeps, at phase boundaries the
-// simulator already processes, so runs with anatomy on are bit-identical in
-// virtual time and the disabled cost is one null-pointer branch per phase
-// change.
+// Like trace/race/prof/sight this is an opt-in (--anatomy) pure observer:
+// the Collector only snapshots counters the simulator already keeps, at
+// phase boundaries the simulator already processes, so runs with anatomy on
+// are bit-identical in virtual time and the disabled cost is one
+// null-pointer branch per phase change.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "mem/model.hpp"
@@ -151,13 +150,5 @@ Waterfall build_waterfall(const Ledger& ref, const Ledger& led);
 /// Lands the ledger in the registry: anatomy.total_ns,
 /// anatomy.category_ns{category=...}, anatomy.phase_category_ns{...}.
 void ingest_anatomy_metrics(trace::MetricsRegistry& m, const Ledger& led);
-
-/// Reads PTB_ANATOMY from the environment (non-empty, non-"0" enables the
-/// ledger), mirroring PTB_SIGHT / PTB_PROF.
-bool default_anatomy_enabled();
-
-/// Output path for the anatomy JSON: the --anatomy flag value if non-empty,
-/// else PTB_ANATOMY, else "".
-std::string anatomy_path_from(const std::string& flag_value);
 
 }  // namespace ptb::anatomy

@@ -121,9 +121,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
   const PlatformSpec platform = PlatformSpec::by_name(spec.platform);
 
   AppState st = make_app_state(effective_bh(spec), spec.nprocs);
-  SimContext ctx(platform, spec.nprocs, spec.backend,
-                 spec.race || default_race_detection(),
-                 spec.sight || sight::default_sight_enabled());
+  SimContext ctx(platform, spec.nprocs, spec.backend, spec.race, spec.sight);
   if (spec.sim_workers > 0) ctx.set_workers(spec.sim_workers);
   if (sight::SightModel* sm = ctx.sight_model()) {
     // Opt the element-structured regions into false-sharing detection; the
@@ -146,11 +144,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
     ctx.set_tracer(spec.tracer);
   }
   prof::Recorder recorder;
-  const bool profiling = spec.prof || prof::default_prof_enabled();
-  if (profiling) ctx.set_profiler(&recorder);
+  if (spec.prof) ctx.set_profiler(&recorder);
   anatomy::Collector collector;
-  const bool ledgering = spec.anatomy || anatomy::default_anatomy_enabled();
-  if (ledgering) ctx.set_anatomy(&collector);
+  if (spec.anatomy) ctx.set_anatomy(&collector);
 
   ExperimentResult out;
   {
@@ -173,7 +169,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
   // Everything below is *derived* from the metrics registry — the scalar
   // fields are conveniences over the same data benches can query directly.
   ingest_run_metrics(out.metrics, out.run.proc_stats, &ctx.mem());
-  if (ledgering) {
+  if (spec.anatomy) {
     out.anatomy = anatomy::build_ledger(out.run.proc_stats, collector, platform);
     // The ledger's phase-max sum must reproduce the run's measured total —
     // both are exact sums of the same integer-valued clocks.
@@ -224,7 +220,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
                    static_cast<unsigned long long>(dropped_total));
   }
 
-  if (profiling || ctx.sight_model() != nullptr) {
+  if (spec.prof || spec.sight) {
     // Resolve tree-cell addresses from the builders' allocation bookkeeping.
     // The lists describe the final step's tree; pools refill deterministically
     // each step, so addresses keep their role across the measured steps.
@@ -234,7 +230,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
         cells.add(nd, sizeof(Node), nd->level, nd->octant);
     }
     cells.finalize();
-    if (profiling) {
+    if (spec.prof) {
       prof::ProfileOptions popts;
       if (platform.remote_miss_ns > platform.local_miss_ns)
         popts.remote_extra_ns = static_cast<std::uint64_t>(

@@ -1,6 +1,10 @@
 // High-level experiment API used by every bench binary: run one
 // (platform, algorithm, n, nprocs) configuration on the simulator and report
 // the numbers the paper's tables and figures are built from.
+//
+// The observer fields of ExperimentSpec (tracer, race, prof, sight, anatomy)
+// are the only switches for the observers: what a run measured follows from
+// its spec alone, never from the environment.
 #pragma once
 
 #include <map>
@@ -27,8 +31,8 @@ struct ExperimentSpec {
   int nprocs = 16;
   int warmup_steps = 2;
   int measured_steps = 2;
-  /// Scheduler backend of the simulator (fibers by default; threads and
-  /// parallel are cross-check backends — all produce bit-identical results).
+  /// Scheduler backend of the simulator (fibers by default; parallel is the
+  /// cross-check backend — both produce bit-identical results).
   SimBackend backend = default_sim_backend();
   /// Host worker threads for SimBackend::kParallel's unordered-section pool
   /// (0 = default_sim_workers(); ignored by the other backends).
@@ -36,21 +40,19 @@ struct ExperimentSpec {
   /// Optional event tracer attached to the parallel run (never the
   /// sequential baseline). Must outlive the run; null = tracing off.
   trace::Tracer* tracer = nullptr;
-  /// Run the parallel build under the data-race detector (--race). PTB_RACE
-  /// in the environment enables it regardless of this flag. Virtual times
-  /// are unchanged; ExperimentResult::race carries the findings.
+  /// Run the parallel build under the data-race detector (--race). Virtual
+  /// times are unchanged; ExperimentResult::race carries the findings.
   bool race = false;
   /// Capture the run's dependency graph for critical-path / what-if
-  /// profiling (--prof / PTB_PROF). Virtual times are unchanged;
+  /// profiling (--prof). Virtual times are unchanged;
   /// ExperimentResult::profile carries the analyses.
   bool prof = false;
   /// Observe every shared access for sharing-pattern classification,
-  /// false-sharing detection and working-set attribution (--sight /
-  /// PTB_SIGHT). Virtual times are unchanged; ExperimentResult::sight
-  /// carries the report.
+  /// false-sharing detection and working-set attribution (--sight). Virtual
+  /// times are unchanged; ExperimentResult::sight carries the report.
   bool sight = false;
   /// Classify every virtual cycle of every processor into the speedup-loss
-  /// ledger (--anatomy / PTB_ANATOMY). Virtual times are unchanged;
+  /// ledger (--anatomy). Virtual times are unchanged;
   /// ExperimentResult::anatomy carries the ledger.
   bool anatomy = false;
   BHConfig bh;  // n is overwritten from `n`
@@ -86,16 +88,16 @@ struct ExperimentResult {
   // Memory-system event totals.
   MemProcStats mem;
   /// Data-race detector findings (enabled == false unless the run was under
-  /// --race / PTB_RACE).
+  /// --race).
   race::RaceReport race;
   /// Critical-path / contention / what-if profile (enabled == false unless
-  /// the run was under --prof / PTB_PROF).
+  /// the run was under --prof).
   prof::Profile profile;
   /// Sharing-pattern / false-sharing / working-set report (enabled == false
-  /// unless the run was under --sight / PTB_SIGHT).
+  /// unless the run was under --sight).
   sight::SightReport sight;
   /// Exact per-cycle speedup-loss ledger (enabled == false unless the run
-  /// was under --anatomy / PTB_ANATOMY).
+  /// was under --anatomy).
   anatomy::Ledger anatomy;
   // Full per-phase breakdown.
   RunResult run;

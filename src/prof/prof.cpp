@@ -1,7 +1,6 @@
 #include "prof/prof.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "support/check.hpp"
 
@@ -186,17 +185,6 @@ void Recorder::charge(int p, const void* addr, std::uint64_t cost_ns, std::uint6
     ls.tb_remote += remote_delta;
     ls.tb_inval += inval_delta;
   }
-}
-
-std::string prof_path_from(const std::string& flag_value) {
-  if (!flag_value.empty()) return flag_value;
-  const char* env = std::getenv("PTB_PROF");
-  return env != nullptr ? std::string(env) : std::string();
-}
-
-bool default_prof_enabled() {
-  const char* env = std::getenv("PTB_PROF");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
 }
 
 }  // namespace ptb::prof

@@ -28,14 +28,13 @@
 // remains exact: replaying an unmodified capture reproduces the recorded
 // completion time bit-for-bit (checked on every profiled run).
 //
-// Like the tracer and the RaceModel, profiling is opt-in (--prof / PTB_PROF)
+// Like the tracer and the RaceModel, profiling is opt-in (--prof)
 // and a pure observer: the recorder only reads simulator state, so profiled
 // runs are bit-identical in virtual time to unprofiled runs, and with no
 // recorder attached the hot path pays a single null-pointer branch.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -164,13 +163,5 @@ class Recorder {
   std::vector<Phase> phase_;            // live phase per proc (for charge())
   static constexpr std::uint32_t kNoPending = ~std::uint32_t{0};
 };
-
-/// Resolves the profile output path: an explicit --prof flag wins; otherwise
-/// the PTB_PROF environment variable; otherwise "" (profiling off).
-std::string prof_path_from(const std::string& flag_value);
-
-/// True when PTB_PROF is set non-empty and not "0" — the environment-side
-/// switch for ExperimentSpec::prof, mirroring PTB_RACE / PTB_TRACE.
-bool default_prof_enabled();
 
 }  // namespace ptb::prof

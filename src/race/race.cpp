@@ -1,7 +1,6 @@
 #include "race/race.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -451,14 +450,6 @@ std::uint64_t RaceModel::on_read_shared_span(int proc, const void* p, std::size_
 void RaceModel::on_phase(int proc, Phase ph) {
   detector_.on_phase(proc, ph);
   inner_->on_phase(proc, ph);
-}
-
-bool default_race_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("PTB_RACE");
-    return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  }();
-  return enabled;
 }
 
 }  // namespace ptb::race

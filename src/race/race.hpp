@@ -15,8 +15,8 @@
 // on_read/on_write/on_rmw/on_acquire/on_release/on_barrier_* — all of which
 // the simulator calls under its global ordering lock in virtual-time order,
 // so the detector needs no synchronization of its own and every run is
-// deterministic. Opt-in via --race / PTB_RACE; when disabled the raw
-// protocol model is installed and the only residual cost is the no-op
+// deterministic. Opt-in via --race (ExperimentSpec::race); when disabled the
+// raw protocol model is installed and the only residual cost is the no-op
 // virtual on_phase call per phase change (bench_sched_micro guards this).
 //
 // The happens-before edges mirror the simulated synchronization exactly:
@@ -329,8 +329,5 @@ class RaceModel final : public MemModel {
   RaceDetector detector_;
   ptb::trace::Tracer* tracer_ = nullptr;
 };
-
-/// True when PTB_RACE is set to a non-empty, non-"0" value (cached).
-bool default_race_enabled();
 
 }  // namespace ptb::race

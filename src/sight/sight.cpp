@@ -4,7 +4,6 @@
 #include <bitset>
 #include <cinttypes>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <tuple>
 
@@ -126,14 +125,9 @@ SightModel::SightModel(std::unique_ptr<MemModel> inner)
       ws_cold_(static_cast<std::size_t>(nprocs_)),
       reuse_dist_(static_cast<std::size_t>(nprocs_)) {
   regions_.set_block_bytes(kLineBytes);
-  if (const char* env = std::getenv("PTB_SIGHT_WINDOW_NS");
-      env != nullptr && env[0] != '\0') {
-    window_ns_ = std::strtoull(env, nullptr, 10);
-  } else {
-    const double worst = std::max(
-        {spec_.remote_miss_ns, spec_.local_miss_ns, spec_.page_fault_ns, 100.0});
-    window_ns_ = static_cast<std::uint64_t>(std::llround(8.0 * worst));
-  }
+  const double worst = std::max(
+      {spec_.remote_miss_ns, spec_.local_miss_ns, spec_.page_fault_ns, 100.0});
+  window_ns_ = static_cast<std::uint64_t>(std::llround(8.0 * worst));
 }
 
 void SightModel::register_region(const void* base, std::size_t bytes, HomePolicy policy,
@@ -601,17 +595,6 @@ void ingest_sight_metrics(trace::MetricsRegistry& m, const SightReport& r) {
     m.set("sight.ws_cold", labels, static_cast<double>(w.cold));
     if (w.reuse.count() > 0) m.record_all("sight.reuse_dist", labels, w.reuse);
   }
-}
-
-bool default_sight_enabled() {
-  const char* env = std::getenv("PTB_SIGHT");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-}
-
-std::string sight_path_from(const std::string& flag_value) {
-  if (!flag_value.empty()) return flag_value;
-  const char* env = std::getenv("PTB_SIGHT");
-  return env != nullptr ? std::string(env) : std::string();
 }
 
 }  // namespace ptb::sight

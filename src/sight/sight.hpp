@@ -24,9 +24,9 @@
 //       stack distances over 64 B lines, log2-bucketed into the mergeable
 //       Distribution machinery) and working-set sizes (distinct lines).
 //
-// Like RaceModel, SightModel is an opt-in MemModel decorator (--sight /
-// PTB_SIGHT): every hook first updates observer state, then forwards to the
-// wrapped model and returns its latency unchanged, so sighted runs are
+// Like RaceModel, SightModel is an opt-in MemModel decorator (--sight):
+// every hook first updates observer state, then forwards to the wrapped
+// model and returns its latency unchanged, so sighted runs are
 // bit-identical in virtual time. When disabled the only residual cost is a
 // null-pointer branch in the simulator. Unlike RaceModel it DOES observe
 // the concurrent read_shared fast path: attaching any observer forces the
@@ -196,7 +196,7 @@ class SightModel final : public MemModel {
 
   /// Cross-object writes by distinct processors closer than this (virtual
   /// ns) count as false sharing. Default: 8× the platform's worst miss
-  /// latency; PTB_SIGHT_WINDOW_NS overrides.
+  /// latency.
   void set_window_ns(std::uint64_t ns) { window_ns_ = ns; }
   std::uint64_t window_ns() const { return window_ns_; }
 
@@ -285,12 +285,5 @@ class SightModel final : public MemModel {
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
 };
-
-/// True when PTB_SIGHT is set to a non-empty, non-"0" value (cached).
-bool default_sight_enabled();
-
-/// Report path: the --sight flag value if non-empty, else $PTB_SIGHT, else
-/// "" (disabled).
-std::string sight_path_from(const std::string& flag_value);
 
 }  // namespace ptb::sight

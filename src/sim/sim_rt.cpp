@@ -1,6 +1,7 @@
 #include "sim/sim_rt.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -46,16 +47,18 @@ int default_sim_workers() {
   static const int w = [] {
     const char* env = std::getenv("PTB_SIM_WORKERS");
     if (env != nullptr && env[0] != '\0') {
-      const int v = std::atoi(env);
-      if (v >= 1) return std::min(v, 64);
+      char* end = nullptr;
+      errno = 0;
+      const long v = std::strtol(env, &end, 10);
+      PTB_CHECK_MSG(errno == 0 && *end == '\0' && v >= 1,
+                    "PTB_SIM_WORKERS must be a positive integer");
+      return static_cast<int>(std::min(v, 64L));
     }
     const auto hw = static_cast<int>(std::thread::hardware_concurrency());
     return std::clamp(hw / 2, 1, 16);
   }();
   return w;
 }
-
-bool default_race_detection() { return race::default_race_enabled(); }
 
 SimContext::SimContext(const PlatformSpec& spec, int nprocs, SimBackend backend,
                        bool race_detect, bool sight_observe)

@@ -86,7 +86,6 @@ class Recorder;
 
 namespace sight {
 class SightModel;
-bool default_sight_enabled();
 }  // namespace sight
 
 namespace anatomy {
@@ -96,19 +95,14 @@ class Collector;
 /// How SimContext::run executes the simulated processors.
 enum class SimBackend { kFibers, kParallel };
 
-/// Reads PTB_RACE from the environment (non-empty, non-"0" enables the
-/// data-race detector); the default for SimContext's `race_detect` argument,
-/// so whole test-suite/bench sweeps can turn detection on without touching
-/// construction sites.
-bool default_race_detection();
-
 /// Reads PTB_SIM_BACKEND ("fibers" | "parallel") from the
 /// environment; defaults to kFibers. Lets CI sweep the whole test suite
 /// across backends without touching every construction site.
 SimBackend default_sim_backend();
 
-/// Reads PTB_SIM_WORKERS (host threads for the kParallel backend); defaults
-/// to half the hardware threads, clamped to [1, 16].
+/// Reads PTB_SIM_WORKERS (host threads for the kParallel backend, a positive
+/// integer, capped at 64; aborts on anything else); defaults to half the
+/// hardware threads, clamped to [1, 16].
 int default_sim_workers();
 
 const char* to_string(SimBackend b);
@@ -189,10 +183,12 @@ class SimContext {
  public:
   using Proc = SimProc;
 
+  /// Observers attach only through explicit arguments: `race_detect` and
+  /// `sight_observe` here, set_tracer/set_profiler/set_anatomy below. No
+  /// environment variable switches one on.
   SimContext(const PlatformSpec& spec, int nprocs,
-             SimBackend backend = default_sim_backend(),
-             bool race_detect = default_race_detection(),
-             bool sight_observe = sight::default_sight_enabled());
+             SimBackend backend = default_sim_backend(), bool race_detect = false,
+             bool sight_observe = false);
   ~SimContext();
 
   int nprocs() const { return nprocs_; }

@@ -1,7 +1,8 @@
 // Minimal command-line flag parser shared by benches and examples.
 //
 // Supports --flag=value, --flag value, and boolean --flag forms. Unknown
-// flags are an error so that typos in experiment scripts fail loudly.
+// flags and malformed values are an error (exit 2) so that typos in
+// experiment scripts fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,9 @@ class Cli {
  public:
   Cli(int argc, char** argv);
 
-  /// Declare a flag with a default; returns the parsed value.
+  /// Declare a flag with a default; returns the parsed value. Numbers must be
+  /// the whole value and in range; booleans are true/false/1/0/yes/no. A bad
+  /// value prints `bad value for --<flag>: '<v>'` and exits 2.
   std::string get_string(const std::string& name, const std::string& def,
                          const std::string& help);
   std::int64_t get_int(const std::string& name, std::int64_t def, const std::string& help);

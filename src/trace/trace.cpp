@@ -1,7 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <cstdlib>
-
 #include "support/check.hpp"
 
 namespace ptb::trace {
@@ -110,12 +108,6 @@ std::string Tracer::chrome_json() const {
   std::fclose(f);
   out.resize(got);
   return out;
-}
-
-std::string trace_path_from(const std::string& flag_value) {
-  if (!flag_value.empty()) return flag_value;
-  const char* env = std::getenv("PTB_TRACE");
-  return env != nullptr ? std::string(env) : std::string();
 }
 
 }  // namespace ptb::trace

@@ -15,7 +15,7 @@
 // simulator serializes processors anyway).
 //
 // The "off" state is the design center: runtimes keep a `Tracer*` that is
-// null unless the user asked for a trace (--trace / PTB_TRACE), so tracing
+// null unless the user asked for a trace (--trace), so tracing
 // compiled in but disabled costs a single predictable branch on the DES hot
 // path (bench_sched_micro guards this).
 //
@@ -130,9 +130,5 @@ class Tracer {
   std::vector<std::vector<Event>> buffers_;
   std::vector<std::uint64_t> dropped_;
 };
-
-/// Resolves the trace output path: an explicit --trace flag wins; otherwise
-/// the PTB_TRACE environment variable; otherwise "" (tracing off).
-std::string trace_path_from(const std::string& flag_value);
 
 }  // namespace ptb::trace

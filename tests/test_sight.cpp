@@ -6,6 +6,8 @@
 // bridge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -196,13 +198,13 @@ TEST(SightFalseSharing, RegionsWithoutAGranuleAreNeverFlagged) {
   EXPECT_TRUE(sm->build_report(CellResolver{}).false_sharing.empty());
 }
 
-TEST(SightWindow, EnvOverrideBeatsThePlatformDefault) {
-  ::setenv("PTB_SIGHT_WINDOW_NS", "12345", 1);
+TEST(SightWindow, DefaultsToEightWorstMissesOfThePlatform) {
+  const PlatformSpec p = PlatformSpec::ideal();
+  const double worst = std::max({p.remote_miss_ns, p.local_miss_ns, p.page_fault_ns, 100.0});
   auto sm = make_sight(2);
+  EXPECT_EQ(sm->window_ns(), static_cast<std::uint64_t>(std::llround(8.0 * worst)));
+  sm->set_window_ns(12345);
   EXPECT_EQ(sm->window_ns(), 12345u);
-  ::unsetenv("PTB_SIGHT_WINDOW_NS");
-  auto sm2 = make_sight(2);
-  EXPECT_GT(sm2->window_ns(), 0u);
 }
 
 // --- reuse distance / working set ---
@@ -297,18 +299,6 @@ TEST(SightModelTest, ObservedRegionsDoNotReachTheInnerModel) {
   EXPECT_EQ(rep.lines_observed, 1u);
   // Acquire = read-then-write of the word: the contended lock is migratory.
   EXPECT_EQ(class_lines(rep, LineClass::kMigratory), 1u);
-}
-
-TEST(SightPath, FlagBeatsEnvAndEnvEnables) {
-  ::setenv("PTB_SIGHT", "/tmp/env_sight.json", 1);
-  EXPECT_EQ(sight::sight_path_from("/tmp/flag.json"), "/tmp/flag.json");
-  EXPECT_EQ(sight::sight_path_from(""), "/tmp/env_sight.json");
-  EXPECT_TRUE(sight::default_sight_enabled());
-  ::setenv("PTB_SIGHT", "0", 1);
-  EXPECT_FALSE(sight::default_sight_enabled());
-  ::unsetenv("PTB_SIGHT");
-  EXPECT_EQ(sight::sight_path_from(""), "");
-  EXPECT_FALSE(sight::default_sight_enabled());
 }
 
 // --- end to end over the simulator ---

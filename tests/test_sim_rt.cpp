@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <string>
 
 #include "sim/sim_rt.hpp"
 
@@ -10,6 +12,20 @@ namespace ptb {
 namespace {
 
 PlatformSpec ideal() { return PlatformSpec::ideal(); }
+
+TEST(SimRtDeathTest, BadSimWorkersVariableAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";  // fresh cached default
+  const char* prev = std::getenv("PTB_SIM_WORKERS");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (const char* bad : {"abc", "-3", "0", "4x"}) {
+    ::setenv("PTB_SIM_WORKERS", bad, 1);
+    EXPECT_DEATH(default_sim_workers(), "PTB_SIM_WORKERS must be a positive integer") << bad;
+  }
+  if (prev != nullptr)
+    ::setenv("PTB_SIM_WORKERS", saved.c_str(), 1);
+  else
+    ::unsetenv("PTB_SIM_WORKERS");
+}
 
 TEST(SimRt, ComputeAdvancesClock) {
   PlatformSpec spec = ideal();

@@ -234,7 +234,67 @@ TEST(Cli, IntList) {
   const auto v = cli.get_int_list("sizes", "", "");
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[2], 30);
+  EXPECT_TRUE(cli.get_int_list("procs", "", "").empty());  // empty default
   cli.finish();
+}
+
+TEST(Cli, AcceptsWellFormedValues) {
+  const char* argv[] = {"prog", "--n=-3", "--theta=2.5e-1", "--csv=no", "--race=yes",
+                        "--sizes=8192,16384"};
+  Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("n", 0, ""), -3);
+  EXPECT_DOUBLE_EQ(cli.get_double("theta", 1.0, ""), 0.25);
+  EXPECT_FALSE(cli.get_bool("csv", true, ""));
+  EXPECT_TRUE(cli.get_bool("race", false, ""));
+  EXPECT_EQ(cli.get_int_list("sizes", "1", ""), (std::vector<std::int64_t>{8192, 16384}));
+  cli.finish();
+}
+
+// Declares one flag through `get` on a Cli built from {"prog", arg}.
+template <typename Get>
+void parse_one(const char* arg, Get get) {
+  const char* argv[] = {"prog", arg};
+  Cli cli(2, const_cast<char**>(argv));
+  get(cli);
+}
+
+TEST(Cli, GetIntRejectsMalformedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto get = [](Cli& c) { c.get_int("n", 0, ""); };
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse_one("--n=2k", get), exit2, "bad value for --n: '2k'");
+  EXPECT_EXIT(parse_one("--n=", get), exit2, "bad value for --n: ''");
+  EXPECT_EXIT(parse_one("--n=99999999999999999999", get), exit2, "bad value for --n");
+}
+
+TEST(Cli, GetDoubleRejectsMalformedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto get = [](Cli& c) { c.get_double("theta", 1.0, ""); };
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse_one("--theta=abc", get), exit2, "bad value for --theta: 'abc'");
+  EXPECT_EXIT(parse_one("--theta=0.5x", get), exit2, "bad value for --theta: '0.5x'");
+  EXPECT_EXIT(parse_one("--theta=", get), exit2, "bad value for --theta: ''");
+  EXPECT_EXIT(parse_one("--theta=1e999", get), exit2, "bad value for --theta: '1e999'");
+  EXPECT_EXIT(parse_one("--theta=nan", get), exit2, "bad value for --theta: 'nan'");
+}
+
+TEST(Cli, GetBoolRejectsMalformedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto get = [](Cli& c) { c.get_bool("csv", false, ""); };
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse_one("--csv=on", get), exit2, "bad value for --csv: 'on'");
+  EXPECT_EXIT(parse_one("--csv=TRUE", get), exit2, "bad value for --csv: 'TRUE'");
+  EXPECT_EXIT(parse_one("--csv=", get), exit2, "bad value for --csv: ''");
+}
+
+TEST(Cli, GetIntListRejectsMalformedValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto get = [](Cli& c) { c.get_int_list("sizes", "1", ""); };
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse_one("--sizes=8k", get), exit2, "bad value for --sizes: '8k'");
+  EXPECT_EXIT(parse_one("--sizes=1,,2", get), exit2, "bad value for --sizes: '1,,2'");
+  EXPECT_EXIT(parse_one("--sizes=1,", get), exit2, "bad value for --sizes: '1,'");
+  EXPECT_EXIT(parse_one("--sizes=", get), exit2, "bad value for --sizes: ''");
 }
 
 }  // namespace

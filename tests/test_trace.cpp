@@ -76,14 +76,6 @@ TEST(Tracer, ChromeJsonIsWellFormed) {
   EXPECT_NE(json.find("\"clock_domain\": \"virtual\""), std::string::npos);
 }
 
-TEST(Tracer, PathResolutionFlagBeatsEnv) {
-  ::setenv("PTB_TRACE", "/tmp/env.json", 1);
-  EXPECT_EQ(trace::trace_path_from("/tmp/flag.json"), "/tmp/flag.json");
-  EXPECT_EQ(trace::trace_path_from(""), "/tmp/env.json");
-  ::unsetenv("PTB_TRACE");
-  EXPECT_EQ(trace::trace_path_from(""), "");
-}
-
 // --- MetricsRegistry ---
 
 TEST(Metrics, CounterGaugeAndLookup) {

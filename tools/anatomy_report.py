@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render a ptb anatomy JSON (ptbsim --anatomy / PTB_ANATOMY) as a human
+"""Render a ptb anatomy JSON (ptbsim --anatomy) as a human
 report, optionally asserting speedup-loss claims for CI.
 
 Usage: anatomy_report.py ANATOMY.json [--expect-exact]

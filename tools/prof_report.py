@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render a ptb profile JSON (ptbsim --prof / PTB_PROF) as a human report,
+"""Render a ptb profile JSON (ptbsim --prof) as a human report,
 optionally asserting structural claims for CI.
 
 Usage: prof_report.py PROFILE.json [--expect-lock-dominated]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render a ptb sight JSON (ptbsim --sight / PTB_SIGHT) as a human report,
+"""Render a ptb sight JSON (ptbsim --sight) as a human report,
 optionally asserting data-centric claims for CI.
 
 Usage: sight_report.py SIGHT.json [--expect-no-false-sharing] [--phase PH]
