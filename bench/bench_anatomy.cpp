@@ -41,9 +41,9 @@ bool same_virtual_results(const RunResult& a, const RunResult& b) {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const int n = static_cast<int>(cli.get_int("n", 2048, "bodies per cell"));
-  const int np = static_cast<int>(cli.get_int("procs", 4, "sweep endpoint processors"));
-  const int reps = static_cast<int>(cli.get_int("reps", 3, "repetitions (best kept)"));
+  const int n = cli.get_int("n", 2048, "bodies per cell", 1);
+  const int np = cli.get_int("procs", 4, "sweep endpoint processors", 1, kMaxSimProcs);
+  const int reps = cli.get_int("reps", 3, "repetitions (best kept)", 1);
   const std::string json_path =
       cli.get_string("json", "BENCH_anatomy.json", "JSON output path (empty disables)");
   cli.finish();

@@ -137,8 +137,8 @@ inline BenchOptions parse_options(int argc, char** argv, const std::string& defa
   opt.sizes = cli.get_int_list("sizes", opt.full ? full_sizes : default_sizes,
                                "comma-separated body counts");
   opt.procs = cli.get_int_list("procs", default_procs, "comma-separated processor counts");
-  opt.warmup = static_cast<int>(cli.get_int("warmup", 1, "warm-up steps (untimed)"));
-  opt.measured = static_cast<int>(cli.get_int("steps", 2, "measured time-steps"));
+  opt.warmup = cli.get_int("warmup", 1, "warm-up steps (untimed)", 0);
+  opt.measured = cli.get_int("steps", 2, "measured time-steps", 1);
   const std::string backend =
       cli.get_string("backend", to_string(default_sim_backend()),
                      "scheduler backend: fibers | parallel");
@@ -148,8 +148,8 @@ inline BenchOptions parse_options(int argc, char** argv, const std::string& defa
     std::exit(2);
   }
   opt.backend = sim_backend_from_string(backend);
-  opt.workers = static_cast<int>(
-      cli.get_int("workers", 0, "host workers for --backend=parallel (0 = auto)"));
+  opt.workers = cli.get_int("workers", 0, "host workers for --backend=parallel (0 = auto)",
+                            0, kMaxSimWorkers);
   const std::string json_path =
       cli.get_string("json", "", "also write results to this JSON file");
   opt.json.set_path(json_path);

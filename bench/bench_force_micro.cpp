@@ -123,11 +123,11 @@ bool virtually_identical(const ExperimentResult& a, const ExperimentResult& b) {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const int reps = static_cast<int>(cli.get_int("reps", 2000, "micro-loop repetitions"));
-  const int n = static_cast<int>(cli.get_int("n", 16384, "e2e body count"));
-  const int nprocs = static_cast<int>(cli.get_int("procs", 16, "e2e processor count"));
-  const int workers = static_cast<int>(
-      cli.get_int("workers", 0, "host workers for the parallel backend (0 = auto)"));
+  const int reps = cli.get_int("reps", 2000, "micro-loop repetitions", 1);
+  const int n = cli.get_int("n", 16384, "e2e body count", 1);
+  const int nprocs = cli.get_int("procs", 16, "e2e processor count", 1, kMaxSimProcs);
+  const int workers = cli.get_int(
+      "workers", 0, "host workers for the parallel backend (0 = auto)", 0, kMaxSimWorkers);
   const bool skip_e2e = cli.get_bool("micro-only", false, "skip the e2e experiments");
   const std::string json_path =
       cli.get_string("json", "BENCH_force.json", "JSON output path (empty disables)");

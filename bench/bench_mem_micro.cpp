@@ -113,9 +113,9 @@ MicroResult run_shape(const PlatformSpec& spec, const std::vector<char>& arena,
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const int reps = static_cast<int>(cli.get_int("reps", 200, "micro-loop repetitions"));
-  const int n = static_cast<int>(cli.get_int("n", 16384, "e2e body count"));
-  const int nprocs = static_cast<int>(cli.get_int("procs", 16, "e2e processor count"));
+  const int reps = cli.get_int("reps", 200, "micro-loop repetitions", 1);
+  const int n = cli.get_int("n", 16384, "e2e body count", 1);
+  const int nprocs = cli.get_int("procs", 16, "e2e processor count", 1, kMaxSimProcs);
   const bool skip_e2e = cli.get_bool("micro-only", false, "skip the e2e experiment");
   const std::string json_path =
       cli.get_string("json", "BENCH_mem.json", "JSON output path (empty disables)");

@@ -86,11 +86,11 @@ void print_waterfall_line(const char* tag, const anatomy::Waterfall& wf) {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const int n = static_cast<int>(cli.get_int("n", 16384, "number of bodies"));
-  const int np = static_cast<int>(cli.get_int("procs", 8, "simulated processors"));
-  const int reps = static_cast<int>(cli.get_int("reps", 3, "host-time repetitions"));
+  const int n = cli.get_int("n", 16384, "number of bodies", 1);
+  const int np = cli.get_int("procs", 8, "simulated processors", 1, kMaxSimProcs);
+  const int reps = cli.get_int("reps", 3, "host-time repetitions", 1);
   const int workers =
-      static_cast<int>(cli.get_int("workers", 4, "host workers for the parallel backend"));
+      cli.get_int("workers", 4, "host workers for the parallel backend", 1, kMaxSimWorkers);
   const std::string json_path =
       cli.get_string("json", "BENCH_radix.json", "JSON output path (empty disables)");
   cli.finish();

@@ -54,11 +54,9 @@ int main(int argc, char** argv) {
   using namespace ptb;
   using namespace ptb::bench;
   Cli cli(argc, argv);
-  const int nprocs =
-      static_cast<int>(cli.get_int("procs", 16, "simulated processor count"));
-  const int ops = static_cast<int>(
-      cli.get_int("ops", 20000, "ordered operations per simulated processor"));
-  const int reps = static_cast<int>(cli.get_int("reps", 3, "repetitions (best kept)"));
+  const int nprocs = cli.get_int("procs", 16, "simulated processor count", 1, kMaxSimProcs);
+  const int ops = cli.get_int("ops", 20000, "ordered operations per simulated processor", 1);
+  const int reps = cli.get_int("reps", 3, "repetitions (best kept)", 1);
   const std::string json_path =
       cli.get_string("json", "BENCH_sched.json", "JSON output path (empty disables)");
   cli.finish();

@@ -42,9 +42,9 @@ std::vector<std::uint64_t> per_step_locks(ptb::AppState& st, int threads, int st
 int main(int argc, char** argv) {
   using namespace ptb;
   Cli cli(argc, argv);
-  const int n = static_cast<int>(cli.get_int("n", 16384, "number of bodies"));
-  const int threads = static_cast<int>(cli.get_int("threads", 4, "worker threads"));
-  const int steps = static_cast<int>(cli.get_int("steps", 12, "time-steps"));
+  const int n = cli.get_int("n", 16384, "number of bodies", 1);
+  const int threads = cli.get_int("threads", 4, "worker threads", 1, kMaxNativeThreads);
+  const int steps = cli.get_int("steps", 12, "time-steps", 0);
   cli.finish();
 
   BHConfig cfg;

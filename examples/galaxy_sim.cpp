@@ -57,12 +57,12 @@ void run(ptb::Algorithm alg, ptb::AppState& st, int threads, int steps) {
 int main(int argc, char** argv) {
   using namespace ptb;
   Cli cli(argc, argv);
-  const int n = static_cast<int>(cli.get_int("n", 32768, "number of bodies"));
-  const int threads = static_cast<int>(cli.get_int("threads", 4, "worker threads"));
-  const int steps = static_cast<int>(cli.get_int("steps", 8, "time-steps"));
+  const int n = cli.get_int("n", 32768, "number of bodies", 1);
+  const int threads = cli.get_int("threads", 4, "worker threads", 1, kMaxNativeThreads);
+  const int steps = cli.get_int("steps", 8, "time-steps", 0);
   const std::string alg = cli.get_string("algorithm", "SPACE",
                                          algorithm_names_joined().c_str());
-  const double theta = cli.get_double("theta", 1.0, "opening criterion");
+  const double theta = cli.get_double("theta", 1.0, "opening criterion", 0.0);
   cli.finish();
 
   BHConfig cfg;

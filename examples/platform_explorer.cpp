@@ -14,9 +14,9 @@
 int main(int argc, char** argv) {
   using namespace ptb;
   Cli cli(argc, argv);
-  const int n = static_cast<int>(cli.get_int("n", 8192, "number of bodies"));
-  const int np = static_cast<int>(cli.get_int("procs", 16, "simulated processors"));
-  const int steps = static_cast<int>(cli.get_int("steps", 2, "measured time-steps"));
+  const int n = cli.get_int("n", 8192, "number of bodies", 1);
+  const int np = cli.get_int("procs", 16, "simulated processors", 1, kMaxSimProcs);
+  const int steps = cli.get_int("steps", 2, "measured time-steps", 1);
   cli.finish();
 
   std::printf("platform_explorer: n=%d, %d simulated processors, %d measured steps\n\n",

@@ -33,16 +33,16 @@ int main(int argc, char** argv) {
   spec.platform = cli.get_string("platform", "typhoon0_hlrc", platform_help.c_str());
   spec.algorithm = algorithm_from_name(
       cli.get_string("algorithm", "SPACE", algorithm_help.c_str()));
-  spec.n = static_cast<int>(cli.get_int("n", 16384, "number of bodies"));
-  spec.nprocs = static_cast<int>(cli.get_int("procs", 16, "simulated processors"));
-  spec.warmup_steps = static_cast<int>(cli.get_int("warmup", 2, "untimed steps"));
-  spec.measured_steps = static_cast<int>(cli.get_int("steps", 2, "timed steps"));
-  spec.bh.theta = cli.get_double("theta", 1.0, "opening criterion");
-  spec.bh.leaf_cap = static_cast<int>(cli.get_int("leaf-cap", 8, "bodies per leaf"));
-  spec.bh.space_threshold = static_cast<int>(
-      cli.get_int("space-threshold", 0, "SPACE subdivision threshold (0 = auto)"));
-  spec.bh.lock_buckets = static_cast<int>(
-      cli.get_int("lock-buckets", 0, "ALOCK pool size (0 = per-cell locks)"));
+  spec.n = cli.get_int("n", 16384, "number of bodies", 1);
+  spec.nprocs = cli.get_int("procs", 16, "simulated processors", 1, kMaxSimProcs);
+  spec.warmup_steps = cli.get_int("warmup", 2, "untimed steps", 0);
+  spec.measured_steps = cli.get_int("steps", 2, "timed steps", 1);
+  spec.bh.theta = cli.get_double("theta", 1.0, "opening criterion", 0.0);
+  spec.bh.leaf_cap = cli.get_int("leaf-cap", 8, "bodies per leaf", 1, kLeafCapacity);
+  spec.bh.space_threshold =
+      cli.get_int("space-threshold", 0, "SPACE subdivision threshold (0 = auto)", 0);
+  spec.bh.lock_buckets =
+      cli.get_int("lock-buckets", 0, "ALOCK pool size (0 = per-cell locks)", 0);
   spec.bh.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345, "RNG seed"));
   const std::string partitioner = cli.get_string("partitioner", "costzones", "costzones|orb");
   if (partitioner != "costzones" && partitioner != "orb") {
@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   spec.backend = sim_backend_from_string(backend);
-  spec.sim_workers = static_cast<int>(cli.get_int(
-      "workers", 0, "host workers for --backend=parallel (0 = auto / PTB_SIM_WORKERS)"));
+  spec.sim_workers = cli.get_int(
+      "workers", 0, "host workers for --backend=parallel (0 = auto / PTB_SIM_WORKERS)", 0,
+      kMaxSimWorkers);
   spec.race = cli.get_bool("race", false,
                            "run under the data-race detector; exits 2 if any race is found");
   spec.bh.elide_locks = cli.get_bool(

@@ -16,8 +16,8 @@
 int main(int argc, char** argv) {
   using namespace ptb;
   Cli cli(argc, argv);
-  const int n = static_cast<int>(cli.get_int("n", 16384, "number of bodies"));
-  const int threads = static_cast<int>(cli.get_int("threads", 4, "worker threads"));
+  const int n = cli.get_int("n", 16384, "number of bodies", 1);
+  const int threads = cli.get_int("threads", 4, "worker threads", 1, kMaxNativeThreads);
   cli.finish();
 
   // 1. Problem setup: a Plummer-model galaxy and a shared application state.

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 
 #include "bh/forcekernel.hpp"
 #include "harness/state.hpp"
@@ -237,11 +238,114 @@ void gather_walk(RT& rt, AppState& st, Node* n, const Vec3& pos, std::int32_t se
   }
 }
 
+/// Up to kGroupSize consecutive bodies of one partition. Lanes past the last
+/// member hold id -1 and member 0's position; no mask ever names them.
+struct ForceGroup {
+  std::array<std::int32_t, bh::kGroupSize> id;
+  std::array<Vec3, bh::kGroupSize> pos;
+};
+
+/// Exact group gather, for runtimes that charge nothing: gather_walk for
+/// every member at once, with no annotations. `live` holds the members
+/// still descending. Each applies gather_walk's own opening test at every
+/// cell; those that accept share one cell entry tagged with their bits, the
+/// rest descend. A leaf's bodies are pushed once, tagged with the live
+/// members minus the member that is that body — left out by id, as
+/// gather_walk skips self_idx, because its own term is not zero at eps = 0.
+/// Member k's tagged entries are therefore its gather_walk list, in order
+/// (docs/PERF.md §10).
+inline void group_walk(const AppState& st, const Node* n, const ForceGroup& g,
+                       bh::GroupMask live, double theta2, bh::GroupList& gl) {
+  if (n->is_leaf(std::memory_order_relaxed)) {
+    for (int i = 0; i < n->nbodies; ++i) {
+      const std::int32_t bj = n->bodies[i];
+      bh::GroupMask tag = live;
+      for (std::size_t k = 0; k < bh::kGroupSize; ++k)
+        if (g.id[k] == bj) tag = static_cast<bh::GroupMask>(tag & ~(1u << k));
+      if (tag == 0) continue;
+      const Body& other = st.bodies[static_cast<std::size_t>(bj)];
+      gl.push_body(other.pos, other.mass, tag);
+    }
+    return;
+  }
+  const double side = 2.0 * n->cube.half;
+  unsigned accept = 0;
+  for (std::size_t k = 0; k < bh::kGroupSize; ++k) {
+    const Vec3 d = n->com - g.pos[k];
+    if (side * side < theta2 * norm2(d)) accept |= 1u << k;
+  }
+  accept &= live;
+  if (accept != 0) gl.push_cell(n->com, n->mass, static_cast<bh::GroupMask>(accept));
+  const auto open = static_cast<bh::GroupMask>(live & ~accept);
+  if (open == 0) return;
+  for (int o = 0; o < 8; ++o) {
+    const Node* c = n->get_child(o, std::memory_order_relaxed);
+    if (c != nullptr) group_walk(st, c, g, open, theta2, gl);
+  }
+}
+
+/// forces_phase on runtimes that charge nothing, when the scalar oracle is
+/// off: one group_walk + evaluate_group per kGroupSize consecutive bodies
+/// of the partition, with the per-body path's results to the bit. Costzones
+/// order is tree order, so a group is spatial neighbours sharing most of
+/// their walk. Its scratch lives in this call's frame (docs/PERF.md §9).
+template <class RT>
+void group_forces_phase(RT& rt, AppState& st) {
+  static_assert(!RT::kCharges, "the simulator charges the per-body walk");
+  const auto pi = static_cast<std::size_t>(rt.self());
+  const auto& part = st.partition[pi];
+  const double theta2 = st.cfg.theta * st.cfg.theta;
+  const double eps2 = st.cfg.eps * st.cfg.eps;
+  std::uint64_t cells = 0;
+  std::uint64_t bodies = 0;
+  trace::Tracer* const tr = rt.tracer();
+  bh::GroupList gl;
+  ForceGroup g;
+  std::array<Vec3, bh::kGroupSize> acc;
+  for (std::size_t i0 = 0; i0 < part.size(); i0 += bh::kGroupSize) {
+    const std::size_t ng = std::min(bh::kGroupSize, part.size() - i0);
+    for (std::size_t k = 0; k < bh::kGroupSize; ++k) {
+      g.id[k] = k < ng ? part[i0 + k] : -1;
+      g.pos[k] = k < ng ? st.bodies[static_cast<std::size_t>(g.id[k])].pos : g.pos[0];
+    }
+    gl.clear();
+    const std::uint64_t t0 = tr != nullptr ? rt.trace_now() : 0;
+    group_walk(st, st.tree.root, g, static_cast<bh::GroupMask>((1u << ng) - 1), theta2, gl);
+    const std::uint64_t t1 = tr != nullptr ? rt.trace_now() : 0;
+    bh::evaluate_group(gl, g.pos, eps2, acc);
+    if (tr != nullptr) {
+      const std::uint64_t t2 = rt.trace_now();
+      tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
+      tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, t2);
+    }
+    for (std::size_t k = 0; k < ng; ++k) {
+      Body& b = st.bodies[static_cast<std::size_t>(g.id[k])];
+      b.acc = acc[k];
+      b.cost = static_cast<double>(gl.cells(k) + gl.bodies(k));
+      cells += gl.cells(k);
+      bodies += gl.bodies(k);
+    }
+  }
+  st.interactions[pi] = cells + bodies;
+  st.interactions_cell[pi] = cells;
+  st.interactions_body[pi] = bodies;
+}
+
 }  // namespace detail
 
 /// Computes accelerations for this processor's bodies; stores each body's
 /// interaction count as its cost for the next costzones pass. Ends on a
 /// barrier in the driver (not here).
+///
+/// Three paths, one result: the accelerations, the costs and the per-kind
+/// interaction counts are the same to the bit on each (docs/PERF.md §8, §10).
+///   * PTB_FORCE_SLOWPATH=1: the scalar in-walk force_walk, the oracle.
+///   * Runtimes that charge nothing (NativeProc, OmpProc, SeqProc:
+///     RT::kCharges == false): detail::group_forces_phase, one walk per
+///     group of bh::kGroupSize neighbouring bodies.
+///   * Runtimes that charge (the simulator): gather_walk + evaluate per
+///     body. Its per-node, per-body charges are the modelled SPLASH walk,
+///     so it is the walk the virtual times describe.
 ///
 /// The whole per-body loop is one unordered section: it reads only the tree
 /// and body data (read_shared) and writes only this processor's own bodies,
@@ -252,6 +356,9 @@ void gather_walk(RT& rt, AppState& st, Node* n, const Vec3& pos, std::int32_t se
 /// cost) per body either way.
 template <class RT>
 void forces_phase(RT& rt, AppState& st) {
+  if constexpr (!RT::kCharges) {
+    if (!bh::force_slowpath_enabled()) return detail::group_forces_phase(rt, st);
+  }
   const auto pi = static_cast<std::size_t>(rt.self());
   const double theta2 = st.cfg.theta * st.cfg.theta;
   const double eps2 = st.cfg.eps * st.cfg.eps;

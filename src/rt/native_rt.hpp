@@ -26,9 +26,19 @@ namespace ptb {
 
 class NativeContext;
 
+/// Most threads the examples' --threads flags accept: a typo must not ask
+/// the OS for thousands of threads.
+inline constexpr int kMaxNativeThreads = 256;
+
 class NativeProc {
  public:
   NativeProc(NativeContext& ctx, int self) : ctx_(&ctx), self_(self) {}
+
+  /// Every annotation below is a no-op, so phases may replace an annotated
+  /// loop with a host-only one that computes the same results
+  /// (forces_phase's group walk) and skip work that only shapes charges
+  /// (annotate::read_view_spanned).
+  static constexpr bool kCharges = false;
 
   int self() const { return self_; }
   int nprocs() const;

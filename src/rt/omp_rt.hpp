@@ -28,6 +28,12 @@ class OmpProc {
  public:
   OmpProc(OmpContext& ctx, int self) : ctx_(&ctx), self_(self) {}
 
+  /// Every annotation below is a no-op, so phases may replace an annotated
+  /// loop with a host-only one that computes the same results
+  /// (forces_phase's group walk) and skip work that only shapes charges
+  /// (annotate::read_view_spanned).
+  static constexpr bool kCharges = false;
+
   int self() const { return self_; }
   int nprocs() const;
 

@@ -24,6 +24,12 @@ class SeqProc {
  public:
   explicit SeqProc(SeqContext& ctx) : ctx_(&ctx) {}
 
+  /// Every annotation below is a no-op, so phases may replace an annotated
+  /// loop with a host-only one that computes the same results
+  /// (forces_phase's group walk) and skip work that only shapes charges
+  /// (annotate::read_view_spanned).
+  static constexpr bool kCharges = false;
+
   int self() const { return 0; }
   int nprocs() const { return 1; }
 

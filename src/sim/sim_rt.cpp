@@ -52,7 +52,7 @@ int default_sim_workers() {
       const long v = std::strtol(env, &end, 10);
       PTB_CHECK_MSG(errno == 0 && *end == '\0' && v >= 1,
                     "PTB_SIM_WORKERS must be a positive integer");
-      return static_cast<int>(std::min(v, 64L));
+      return static_cast<int>(std::min<long>(v, kMaxSimWorkers));
     }
     const auto hw = static_cast<int>(std::thread::hardware_concurrency());
     return std::clamp(hw / 2, 1, 16);
@@ -63,7 +63,7 @@ int default_sim_workers() {
 SimContext::SimContext(const PlatformSpec& spec, int nprocs, SimBackend backend,
                        bool race_detect, bool sight_observe)
     : spec_(spec), nprocs_(nprocs), backend_(backend), mem_(make_mem_model(spec, nprocs)) {
-  PTB_CHECK(nprocs >= 1 && nprocs <= 64);
+  PTB_CHECK(nprocs >= 1 && nprocs <= kMaxSimProcs);
   if (race_detect) {
     auto rm = std::make_unique<race::RaceModel>(std::move(mem_));
     race_model_ = rm.get();

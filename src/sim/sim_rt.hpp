@@ -105,6 +105,13 @@ SimBackend default_sim_backend();
 /// hardware threads, clamped to [1, 16].
 int default_sim_workers();
 
+/// Most host workers default_sim_workers() or a --workers flag asks for.
+inline constexpr int kMaxSimWorkers = 64;
+
+/// Most processors one SimContext simulates: the coherence models keep
+/// sharer and writer sets as 64-bit masks.
+inline constexpr int kMaxSimProcs = 64;
+
 const char* to_string(SimBackend b);
 
 /// Parses "fibers" / "parallel" (aborts on anything else).
@@ -115,6 +122,10 @@ class SimContext;
 class SimProc {
  public:
   SimProc(SimContext& ctx, int self) : ctx_(&ctx), self_(self) {}
+
+  /// Annotations charge virtual time: phases must issue exactly the modelled
+  /// ones (forces_phase keeps its per-body walk here).
+  static constexpr bool kCharges = true;
 
   int self() const { return self_; }
   int nprocs() const;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <sstream>
 
 #include "support/check.hpp"
 
@@ -11,9 +13,23 @@ namespace ptb {
 
 namespace {
 
-[[noreturn]] void bad_value(const std::string& name, const std::string& v) {
-  std::fprintf(stderr, "bad value for --%s: '%s'\n", name.c_str(), v.c_str());
+[[noreturn]] void bad_value(const std::string& name, const std::string& v,
+                           const std::string& want = "") {
+  std::fprintf(stderr, "bad value for --%s: '%s'%s\n", name.c_str(), v.c_str(),
+               want.empty() ? "" : (" (want " + want + ")").c_str());
   std::exit(2);
+}
+
+/// "lo..hi", or ">= lo" when hi is the type's maximum.
+template <typename T>
+std::string range_text(T lo, T hi) {
+  const auto text = [](T x) {
+    std::ostringstream os;
+    os << x;
+    return os.str();
+  };
+  if (hi == std::numeric_limits<T>::max()) return ">= " + text(lo);
+  return text(lo) + ".." + text(hi);
 }
 
 // Whole-string numeric parse: false on an empty value, trailing characters
@@ -69,12 +85,23 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def, const std::
   return x;
 }
 
-double Cli::get_double(const std::string& name, double def, const std::string& help) {
+int Cli::get_int(const std::string& name, int def, const std::string& help, int lo,
+                 int hi) {
+  const std::string v = get_string(name, std::to_string(def), help);
+  std::int64_t x = 0;
+  if (!parse_int(v, x)) bad_value(name, v);
+  if (x < lo || x > hi) bad_value(name, v, range_text(lo, hi));
+  return static_cast<int>(x);
+}
+
+double Cli::get_double(const std::string& name, double def, const std::string& help,
+                       double lo, double hi) {
   const std::string v = get_string(name, std::to_string(def), help);
   double x = 0.0;
   if (!parse_whole(v, [](const char* p, char** e) { return std::strtod(p, e); }, x) ||
       !std::isfinite(x))
     bad_value(name, v);
+  if (x < lo || x > hi) bad_value(name, v, range_text(lo, hi));
   return x;
 }
 

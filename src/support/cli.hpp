@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,7 +23,16 @@ class Cli {
   std::string get_string(const std::string& name, const std::string& def,
                          const std::string& help);
   std::int64_t get_int(const std::string& name, std::int64_t def, const std::string& help);
-  double get_double(const std::string& name, double def, const std::string& help);
+
+  /// Range-checked: the value must also lie in [lo, hi], else these print
+  /// `bad value for --<flag>: '<v>' (want <range>)` and exit 2. A flag that
+  /// lands in an int takes the int form, never a narrowing cast of the int64
+  /// one (which would run --n=4294967360 as n=64).
+  int get_int(const std::string& name, int def, const std::string& help, int lo,
+              int hi = std::numeric_limits<int>::max());
+  double get_double(const std::string& name, double def, const std::string& help,
+                    double lo = std::numeric_limits<double>::lowest(),
+                    double hi = std::numeric_limits<double>::max());
   bool get_bool(const std::string& name, bool def, const std::string& help);
 
   /// Parse a comma-separated list of integers, e.g. "8192,16384,65536".

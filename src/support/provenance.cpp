@@ -1,8 +1,11 @@
 #include "support/provenance.hpp"
 
-// Stamped by the top-level CMakeLists via add_compile_definitions; the
-// fallbacks keep the file compiling standalone (header self-containment
-// builds, external embedders).
+// The top-level CMakeLists generates PTB_GIT_SHA_HEADER at build time and
+// defines PTB_BUILD_TYPE; the fallbacks keep the file compiling standalone
+// (perfbench's own build, external embedders).
+#ifdef PTB_GIT_SHA_HEADER
+#include PTB_GIT_SHA_HEADER
+#endif
 #ifndef PTB_GIT_SHA
 #define PTB_GIT_SHA "unknown"
 #endif

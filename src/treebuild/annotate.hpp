@@ -73,6 +73,13 @@ template <class RT, class View, class F>
 void read_view_spanned(RT& rt, const View& v, const std::int32_t* ids,
                        std::size_t count, std::size_t bytes, std::int32_t skip,
                        F&& per_body) {
+  if constexpr (!RT::kCharges) {
+    // Nothing to charge, so no slot to read: on the native runtimes another
+    // processor may be rewriting body_slot meanwhile (ORB's claim).
+    for (std::size_t i = 0; i < count; ++i)
+      if (ids[i] != skip) per_body(ids[i]);
+    return;
+  }
   std::size_t i = 0;
   while (i < count) {
     if (ids[i] == skip) {

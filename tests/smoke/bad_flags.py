@@ -19,6 +19,13 @@ def cases(ptbsim, bench_table1):
     yield [ptbsim, "--n=2k"] + TINY[1:], "--n"
     yield [ptbsim, "--csv=on"] + TINY, "--csv"
     yield [ptbsim, "--partitioner=ORB"] + TINY, "--partitioner"
+    # Well-formed numbers out of the flag's range: each used to crash (SIGFPE,
+    # an uncaught std::length_error) or run something other than asked (int
+    # narrowing ran n=64; a negative theta squared to a positive one).
+    yield [ptbsim, "--procs=0", "--n=64"] + TINY[2:], "--procs"
+    yield [ptbsim, "--procs=-3", "--n=64"] + TINY[2:], "--procs"
+    yield [ptbsim, "--n=4294967360"] + TINY[1:], "--n"
+    yield [ptbsim, "--theta=-1"] + TINY, "--theta"
     if bench_table1 is not None:
         yield [bench_table1, "--race", "--sizes=64", "--procs=2", "--warmup=0",
                "--steps=1"], "--race"
